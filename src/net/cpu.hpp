@@ -8,8 +8,9 @@
 // receivers (Fig 15c) rather than free.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
+#include <utility>
 
 #include "sim/scheduler.hpp"
 
@@ -20,12 +21,15 @@ class Cpu {
   explicit Cpu(sim::Scheduler& sched) : sched_(&sched) {}
 
   /// Queues `cost` of CPU work, then runs `done` when it completes.
-  /// Work requests are serviced FIFO.
-  void run(sim::SimTime cost, std::function<void()> done) {
+  /// Work requests are serviced FIFO. `done` goes straight into the
+  /// scheduler's inline event storage, so a per-packet completion
+  /// (a host pointer plus an SkBuffPtr) costs no heap allocation.
+  template <typename F>
+  void run(sim::SimTime cost, F&& done) {
     const sim::SimTime start = std::max(sched_->now(), busy_until_);
     busy_until_ = start + cost;
     total_busy_ += cost;
-    sched_->schedule_at(busy_until_, std::move(done));
+    sched_->schedule_at(busy_until_, std::forward<F>(done));
   }
 
   /// Time at which all queued work completes.

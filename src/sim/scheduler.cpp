@@ -48,7 +48,7 @@ void SchedulerCore::compact() {
   heap.erase(std::remove_if(heap.begin(), heap.end(),
                             [this](const Entry& e) { return !live(e); }),
              heap.end());
-  std::make_heap(heap.begin(), heap.end(), later);
+  std::make_heap(heap.begin(), heap.end(), Later{});
   tombstones = 0;
   ++compactions;
 }
@@ -57,7 +57,7 @@ SimTime SchedulerCore::next_event_time() {
   while (!heap.empty()) {
     const Entry& top = heap.front();
     if (live(top)) return top.when;
-    std::pop_heap(heap.begin(), heap.end(), later);
+    std::pop_heap(heap.begin(), heap.end(), Later{});
     heap.pop_back();
     assert(tombstones > 0);
     --tombstones;
@@ -79,7 +79,7 @@ bool Scheduler::step(SimTime horizon) {
     const detail::SchedulerCore::Entry top = c.heap.front();
     if (top.when > horizon) return false;
     std::pop_heap(c.heap.begin(), c.heap.end(),
-                  detail::SchedulerCore::later);
+                  detail::SchedulerCore::Later{});
     c.heap.pop_back();
     if (!c.live(top)) {  // cancelled tombstone
       assert(c.tombstones > 0);

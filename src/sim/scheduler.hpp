@@ -137,10 +137,14 @@ struct SchedulerCore {
   std::uint32_t refs = 1;  ///< owning Scheduler + live EventHandles
   bool dead = false;       ///< the owning Scheduler was destroyed
 
-  static bool later(const Entry& a, const Entry& b) {
-    if (a.when != b.when) return a.when > b.when;
-    return a.seq > b.seq;
-  }
+  /// Heap order: "a fires after b". A function object rather than a
+  /// function pointer so the std::*_heap algorithms inline it.
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      if (a.when != b.when) return a.when > b.when;
+      return a.seq > b.seq;
+    }
+  };
 
   std::uint32_t acquire_slot();
   void free_slot(std::uint32_t idx);
@@ -253,7 +257,8 @@ class Scheduler {
     s.fn.emplace(std::forward<F>(fn));
     s.armed = true;
     c.heap.push_back({when, c.next_seq++, slot, s.gen});
-    std::push_heap(c.heap.begin(), c.heap.end(), detail::SchedulerCore::later);
+    std::push_heap(c.heap.begin(), c.heap.end(),
+                   detail::SchedulerCore::Later{});
     return EventHandle{core_, slot, s.gen};
   }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "app/disk.hpp"
 #include "app/pattern.hpp"
 #include "net/topology.hpp"
@@ -27,6 +31,72 @@ TEST(Pattern, FillVerifyRoundTrip) {
   // Corruption detected at the right index.
   buf[100] ^= 0xff;
   EXPECT_EQ(pattern_verify(buf, 12345), 100u);
+}
+
+/// Byte-at-a-time references the blocked fill/verify must agree with.
+std::vector<std::uint8_t> reference_pattern(std::size_t n,
+                                            std::uint64_t offset) {
+  std::vector<std::uint8_t> v(n);
+  for (std::size_t k = 0; k < n; ++k) v[k] = pattern_byte(offset + k);
+  return v;
+}
+
+std::size_t reference_verify(std::span<const std::uint8_t> in,
+                             std::uint64_t offset) {
+  for (std::size_t k = 0; k < in.size(); ++k) {
+    if (in[k] != pattern_byte(offset + k)) return k;
+  }
+  return in.size();
+}
+
+/// Every start offset mod 256, near 0 and near 2^40, with lengths that
+/// stay inside one 128-byte run, end on a run boundary, or cross one or
+/// several boundaries.
+TEST(Pattern, BlockedFillAndVerifyMatchBytewise) {
+  const std::size_t lengths[] = {0,   1,   2,   127, 128,  129,
+                                 255, 256, 257, 383, 1000, 4099};
+  for (const std::uint64_t base : {std::uint64_t{0}, std::uint64_t{1} << 40,
+                                   (std::uint64_t{1} << 40) - 256}) {
+    for (std::uint64_t r = 0; r < 256; ++r) {
+      const std::uint64_t offset = base + r;
+      for (const std::size_t n : lengths) {
+        SCOPED_TRACE(testing::Message() << "offset " << offset << " len " << n);
+        const std::vector<std::uint8_t> want = reference_pattern(n, offset);
+        std::vector<std::uint8_t> have(n, 0x5a);
+        pattern_fill(have, offset);
+        ASSERT_EQ(have, want);
+        ASSERT_EQ(pattern_verify(have, offset), n);
+        // Checked against the wrong offset, the first mismatch is the
+        // same index a bytewise scan finds.
+        ASSERT_EQ(pattern_verify(have, offset + 1),
+                  reference_verify(have, offset + 1));
+        ASSERT_EQ(pattern_verify(have, offset + 128),
+                  reference_verify(have, offset + 128));
+      }
+    }
+  }
+}
+
+/// One flipped bit anywhere in a 600-byte span (which crosses several
+/// run boundaries from an unaligned start) is reported at its index.
+TEST(Pattern, SingleBitFlipFoundAtExactIndex) {
+  for (const std::uint64_t offset :
+       {std::uint64_t{77}, (std::uint64_t{1} << 40) - 300}) {
+    std::vector<std::uint8_t> buf(600);
+    pattern_fill(buf, offset);
+    for (std::size_t pos = 0; pos < buf.size(); ++pos) {
+      for (int bit = 0; bit < 8; ++bit) {
+        buf[pos] ^= static_cast<std::uint8_t>(1u << bit);
+        ASSERT_EQ(pattern_verify(buf, offset), pos)
+            << "offset " << offset << " bit " << bit;
+        buf[pos] ^= static_cast<std::uint8_t>(1u << bit);
+      }
+    }
+    // A second, later corruption never hides the first.
+    buf[450] ^= 0x01;
+    buf[130] ^= 0x80;
+    EXPECT_EQ(pattern_verify(buf, offset), 130u);
+  }
 }
 
 TEST(Disk, TransferTimeScalesWithSize) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+#include <span>
 #include <vector>
 
 #include "kern/byteorder.hpp"
@@ -49,6 +52,64 @@ TEST(Checksum, OddLengthHandled) {
 TEST(Checksum, EmptyBlock) {
   EXPECT_EQ(internet_checksum({}), 0xffff);
   EXPECT_FALSE(checksum_ok({}));  // nothing sums to 0xffff
+}
+
+/// Byte-pair reference: big-endian 16-bit words summed into 64 bits
+/// (wide enough for any buffer in these tests), folded, complemented.
+std::uint16_t reference_checksum(std::span<const std::uint8_t> d) {
+  std::uint64_t sum = 0;
+  std::size_t i = 0;
+  for (; i + 1 < d.size(); i += 2) {
+    sum += static_cast<std::uint64_t>(d[i]) << 8 | d[i + 1];
+  }
+  if (i < d.size()) sum += static_cast<std::uint64_t>(d[i]) << 8;
+  while (sum >> 16) sum = (sum & 0xffff) + (sum >> 16);
+  return static_cast<std::uint16_t>(~sum & 0xffff);
+}
+
+/// Past 131,070 bytes of 0xff a 32-bit sum of 16-bit words wraps; the
+/// correct one's-complement sum is 0xffff, so the checksum is 0.
+TEST(Checksum, AllOnesBeyond32BitSum) {
+  for (const std::size_t len : {140000u, 262144u}) {
+    SCOPED_TRACE(len);
+    const std::vector<std::uint8_t> ones(len, 0xff);
+    EXPECT_EQ(internet_checksum(ones), 0x0000);
+    EXPECT_TRUE(checksum_ok(ones));
+  }
+}
+
+/// The wide-word sum against the byte-pair reference: every length up
+/// to 3000 bytes plus a few ~290 KB buffers, at every start offset mod
+/// 16 (so the 32-bit loads run unaligned and the byte-pair / odd-byte
+/// tails all occur), over random bytes and over all-0xff runs.
+TEST(Checksum, MatchesBytePairReference) {
+  std::mt19937_64 rng(1071);
+  constexpr std::size_t kMaxOffset = 16;
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 3000; ++n) lengths.push_back(n);
+  for (const std::size_t n : {289999u, 290000u, 290001u, 290003u}) {
+    lengths.push_back(n);
+  }
+  std::vector<std::uint8_t> random(290003 + kMaxOffset);
+  for (auto& b : random) b = static_cast<std::uint8_t>(rng());
+  std::vector<std::uint8_t> ones(random.size(), 0xff);
+
+  for (const std::vector<std::uint8_t>* buf : {&random, &ones}) {
+    for (const std::size_t n : lengths) {
+      for (std::size_t off = 0; off < kMaxOffset; ++off) {
+        const std::span<const std::uint8_t> d(buf->data() + off, n);
+        const std::uint16_t want = reference_checksum(d);
+        const std::uint16_t have = internet_checksum(d);
+        if (have != want) {
+          ADD_FAILURE() << "len " << n << " offset " << off << ": got "
+                        << have << ", reference " << want;
+          return;
+        }
+        ASSERT_EQ(checksum_ok(d), want == 0) << "len " << n << " offset "
+                                             << off;
+      }
+    }
+  }
 }
 
 TEST(ByteOrder, RoundTrips) {
