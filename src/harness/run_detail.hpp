@@ -1,33 +1,21 @@
-// Internals shared by the two run_transfer implementations (the legacy
-// single-Scheduler path in scenario.cpp and the sharded-engine path in
-// shard_run.cpp). Anything that must agree bit-for-bit between the two
-// — the group endpoint, the control classifier, the receiver-stats
-// accumulation, and above all the RNG digest fold order — lives here so
-// it cannot drift.
+// Identity pieces of run_transfer that code outside scenario.cpp must
+// reproduce exactly: the group endpoint every receiver joins and the
+// fold order of RunResult::rng_digest. A replica of a run_transfer cell
+// (the traced benchmark build) uses these to match its
+// (events_executed, rng_digest) tuple.
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "harness/scenario.hpp"
 #include "hrmc/modeled.hpp"
 #include "hrmc/receiver.hpp"
-#include "hrmc/wire.hpp"
 
 namespace hrmc::harness::detail {
 
 inline constexpr net::Addr kGroupAddr = net::make_addr(224, 5, 5, 5);
 inline constexpr net::Port kGroupPort = 7500;
-
-/// Control-plane classifier for chaos control-loss faults: everything
-/// except the payload-bearing types (DATA, FEC) is control. Undecodable
-/// packets are not control — they die at the checksum either way.
-inline bool is_control_packet(const kern::SkBuff& skb) {
-  const auto h = proto::peek_header(skb);
-  return h && h->type != proto::PacketType::kData &&
-         h->type != proto::PacketType::kFec;
-}
 
 /// RunResult::rng_digest: end-state of every RNG stream in the run,
 /// folded in a fixed component order (network elements in topology
@@ -56,44 +44,6 @@ inline std::uint64_t fold_run_digest(
     if (sinks[i]) acc = sim::digest_mix(acc, sinks[i]->rng_digest());
   }
   return sim::digest_mix(acc, source.rng_digest());
-}
-
-/// Adds one receiver slot's stats to the run totals (and the per-slot
-/// vector). Field list must match proto::ReceiverStats.
-inline void accumulate_receiver_stats(RunResult& res,
-                                      const proto::ReceiverStats& rs) {
-  res.per_receiver.push_back(rs);
-  auto& t = res.receivers_total;
-  t.data_packets_received += rs.data_packets_received;
-  t.data_bytes_received += rs.data_bytes_received;
-  t.duplicate_packets += rs.duplicate_packets;
-  t.out_of_order_packets += rs.out_of_order_packets;
-  t.window_overflow_drops += rs.window_overflow_drops;
-  t.naks_sent += rs.naks_sent;
-  t.naks_suppressed += rs.naks_suppressed;
-  t.naks_peer_suppressed += rs.naks_peer_suppressed;
-  t.naks_forwarded += rs.naks_forwarded;
-  t.rate_requests_sent += rs.rate_requests_sent;
-  t.urgent_requests_sent += rs.urgent_requests_sent;
-  t.updates_sent += rs.updates_sent;
-  t.agg_updates_sent += rs.agg_updates_sent;
-  t.repairs_served += rs.repairs_served;
-  t.repair_failovers += rs.repair_failovers;
-  t.probes_received += rs.probes_received;
-  t.keepalives_received += rs.keepalives_received;
-  t.nak_errs_received += rs.nak_errs_received;
-  t.bytes_delivered += rs.bytes_delivered;
-  t.bad_packets += rs.bad_packets;
-  t.join_fast_retries += rs.join_fast_retries;
-  t.fec_packets_received += rs.fec_packets_received;
-  t.fec_recoveries += rs.fec_recoveries;
-  t.fec_stale_groups += rs.fec_stale_groups;
-  t.fec_decode_failures += rs.fec_decode_failures;
-  t.stall_rejoins += rs.stall_rejoins;
-  t.alloc_fails += rs.alloc_fails;
-  t.ooo_evictions += rs.ooo_evictions;
-  t.fec_evictions += rs.fec_evictions;
-  t.repair_cache_evictions += rs.repair_cache_evictions;
 }
 
 }  // namespace hrmc::harness::detail

@@ -33,9 +33,10 @@ struct Workload {
   app::DiskConfig disk;
 };
 
-/// Observability knobs for a run. `enabled` attaches one shared
-/// TraceRing to every traced component (sender, receivers, routers,
-/// NICs, fault injector) using the trace.hpp host-id convention;
+/// Observability knobs for a run. `enabled` attaches a TraceRing per
+/// engine domain to every traced component (sender, receivers, routers,
+/// NICs, fault injector) using the trace.hpp host-id convention, and
+/// the run returns the rings merged by timestamp;
 /// `sample_period > 0` additionally runs a time-series Sampler over the
 /// live protocol state. Neither changes protocol behaviour: trace
 /// emission is a passive store and the sampler only reads.
@@ -79,27 +80,33 @@ struct ModeledGroup {
   double leaf_loss = 0.0;
 };
 
-/// Multi-core sharded execution (sim::ShardEngine): the topology is cut
-/// into conservative-time domains — the sender/backbone in domain 0,
-/// each group's router subtree in its own domain — advanced in lockstep
-/// epochs whose width is the trunk's minimum packet service time. The
-/// result is bit-identical at every thread count (same per-domain event
-/// order, PRNG draws, trace records); "serial" for comparison purposes
-/// is this engine at threads = 1. The legacy single-Scheduler path
-/// (enabled = false) stays byte-for-byte what it always was; it can
-/// differ from the sharded schedule only in how same-timestamp events
-/// in different domains interleave. Incompatible with
-/// TraceOptions::sample_period (the Sampler reads live cross-domain
-/// state mid-window) — run_transfer throws on that combination.
+/// Multi-core sharded execution. Every run goes through
+/// sim::ShardEngine; these options choose how many conservative-time
+/// domains it gets. Unsharded (enabled = false) is one domain holding
+/// the whole topology, which the engine runs as a plain event loop.
+/// Sharded, the sender/backbone is domain 0 and each group's router
+/// subtree gets its own domain, advanced in lockstep epochs whose width
+/// is the trunk's minimum packet service time. The result is
+/// bit-identical at every thread count (same per-domain event order,
+/// PRNG draws, trace records); "serial" for comparison purposes is
+/// this engine at threads = 1. A multi-domain schedule can differ from
+/// the one-domain schedule in how same-timestamp events in different
+/// domains interleave, in IGMP grafts applying at epoch barriers, and
+/// in done() being sampled only at barriers. The
+/// Sampler (TraceOptions::sample_period) and the MemAccountant
+/// (Scenario::mem_budget, mem fault windows) read state of every host
+/// at once, so run_transfer throws std::invalid_argument when either is
+/// asked for at more than one domain.
 struct ShardOptions {
   bool enabled = false;
   /// Worker threads; 0 = the harness thread budget's leftover share
-  /// (composes with ParallelRunner under HRMC_BENCH_THREADS).
+  /// (composes with ParallelRunner under HRMC_BENCH_THREADS). Ignored
+  /// at one domain, which runs on the calling thread.
   unsigned threads = 0;
   /// Cap on domain count, including the sender's domain 0; groups wrap
   /// round-robin over domains 1..max_domains-1. 0 = one domain per
-  /// group. Values <= 1 collapse everything into domain 0 (still runs
-  /// through the engine, epochs and all — useful for overhead tests).
+  /// group. Values <= 1 collapse everything into domain 0: the same
+  /// schedule as enabled = false, with shard_domains reported as 1.
   std::size_t max_domains = 0;
 };
 
@@ -132,13 +139,14 @@ struct Scenario {
   /// §16). 0 = no budget; an accountant is still installed when the
   /// fault plan contains mem-pressure / alloc-fail windows (they need
   /// one to act on). 0 with a mem-fault-free plan installs nothing —
-  /// bit-identical to runs predating this field. Legacy engine only:
-  /// the accountant is not sharding-aware, so sc.shard.enabled ignores
-  /// it.
+  /// bit-identical to runs predating this field. One accountant serves
+  /// every host and its squeeze windows are global, so a budget or a
+  /// mem window at more than one shard domain throws
+  /// std::invalid_argument.
   std::uint64_t mem_budget = 0;
   TraceOptions trace;
-  /// Sharded multi-core execution (off = legacy single scheduler,
-  /// bit-identical to runs predating this field).
+  /// Sharded multi-core execution (off = one domain, bit-identical to
+  /// runs predating this field).
   ShardOptions shard;
 };
 
@@ -169,9 +177,12 @@ struct RunResult {
   std::uint64_t evicted_count = 0;  ///< members evicted by the sender
   sim::SimTime stall_time = 0;      ///< window time blocked past hold
 
-  // Memory-pressure robustness (DESIGN.md §16). Zero unless a
-  // kern::MemAccountant was installed (Scenario::mem_budget or mem
-  // fault windows); the skbuff gauges are always live.
+  // Memory-pressure robustness (DESIGN.md §16). The two ledger fields
+  // are zero unless a kern::MemAccountant was installed
+  // (Scenario::mem_budget or mem fault windows); the eviction count is
+  // filled on every run. The skbuff gauges read the calling thread's
+  // pool (kern::skbuff_stats is per thread), so they cover the whole
+  // run at one domain or one worker thread.
   std::uint64_t mem_peak_bytes = 0;   ///< highest single-host ledger seen
   std::uint64_t mem_alloc_fails = 0;  ///< accountant refusals, all hosts
   std::uint64_t mem_cache_evictions = 0;  ///< ooo + fec + repair evictions
@@ -194,7 +205,7 @@ struct RunResult {
   std::uint64_t sched_compactions = 0;  ///< tombstone sweeps (all domains)
   std::uint64_t rng_digest = 0;
 
-  // Sharded-engine accounting (zero on the legacy path).
+  // Sharded-engine accounting (zero unless ShardOptions::enabled).
   std::size_t shard_domains = 0;
   std::uint64_t shard_epochs = 0;
   std::uint64_t shard_handoffs = 0;
@@ -213,12 +224,6 @@ struct RunResult {
 
 /// Runs one multicast file transfer described by `sc`.
 RunResult run_transfer(const Scenario& sc);
-
-namespace detail {
-/// Sharded-engine implementation behind run_transfer (dispatched when
-/// sc.shard.enabled). Exposed for the engine's own tests.
-RunResult run_transfer_sharded(const Scenario& sc);
-}  // namespace detail
 
 // --- Scenario builders -------------------------------------------------
 

@@ -17,14 +17,13 @@ GroupSpec group_c(int receivers) {
 }
 
 Topology::Topology(sim::Scheduler& sched, const TopologyConfig& cfg)
-    : sched_(&sched), cfg_(cfg) {
+    : cfg_(cfg) {
   build(sched, [&sched](std::size_t) -> sim::Scheduler& { return sched; });
 }
 
 Topology::Topology(sim::ShardEngine& engine, const TopologyConfig& cfg,
                    std::vector<std::size_t> group_domain)
-    : sched_(&engine.domain(0)),
-      cfg_(cfg),
+    : cfg_(cfg),
       engine_(&engine),
       group_domain_(std::move(group_domain)) {
   if (group_domain_.size() != cfg.groups.size()) {
@@ -146,7 +145,7 @@ void Topology::join_group(Addr group, Host* host) {
   // it is applied serially at the next epoch boundary (within one
   // lookahead — less than the trunk's own service time — of the IGMP
   // report that would carry it on a real network). During setup the
-  // engine applies it inline, exactly like the legacy path.
+  // engine applies it inline, exactly like a one-domain run.
   if (engine_ != nullptr && group_domain_[g] != 0) {
     Router* backbone = backbone_.get();
     Router* gr = group_routers_[g].get();
@@ -169,7 +168,7 @@ void Topology::leave_group(Addr group, Host* host) {
       // Prune at the boundary. A join racing in the same window posts
       // its graft behind this prune in the same FIFO, so the boundary
       // replays the local decisions in order and converges to the same
-      // membership the legacy path reaches.
+      // membership a one-domain run reaches.
       Router* backbone = backbone_.get();
       Router* gr = group_routers_[g].get();
       engine_->post_control(group_domain_[g], [backbone, gr, group] {

@@ -93,8 +93,7 @@ class Topology final : public GroupControl {
 
   [[nodiscard]] const TopologyConfig& config() const { return cfg_; }
 
-  /// Sharded-construction introspection. Domain 0 on the legacy path.
-  [[nodiscard]] bool sharded() const { return engine_ != nullptr; }
+  /// Engine domain of a group / receiver. Domain 0 without an engine.
   [[nodiscard]] std::size_t group_domain(std::size_t g) const {
     return engine_ != nullptr ? group_domain_.at(g) : 0;
   }
@@ -122,9 +121,8 @@ class Topology final : public GroupControl {
   void build(sim::Scheduler& backbone_sched,
              const std::function<sim::Scheduler&(std::size_t)>& group_sched);
 
-  sim::Scheduler* sched_;
   TopologyConfig cfg_;
-  sim::ShardEngine* engine_ = nullptr;    ///< null on the legacy path
+  sim::ShardEngine* engine_ = nullptr;    ///< null on a bare Scheduler
   std::vector<std::size_t> group_domain_;  ///< per group, sharded only
 
   std::unique_ptr<Router> backbone_;

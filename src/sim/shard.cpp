@@ -131,6 +131,13 @@ void ShardEngine::worker_loop(std::size_t worker) {
 std::uint64_t ShardEngine::run(const std::function<bool()>& done,
                                SimTime horizon, unsigned threads) {
   const std::size_t d = domains_.size();
+  if (d == 1) {
+    // Nothing crosses a domain boundary, so there is nothing to wait
+    // for: the one Scheduler runs plain, done() checked after every
+    // event. post()/post_control() keep their outside-run() meaning.
+    return domains_[0]->run_while([&done] { return !(done && done()); },
+                                  horizon);
+  }
   const unsigned workers = static_cast<unsigned>(std::min<std::size_t>(
       std::max(1u, threads), d));
   const std::uint64_t executed_before = executed();

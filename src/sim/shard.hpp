@@ -27,10 +27,12 @@
 // Consequently a run at 8 threads is bit-identical — same event order
 // per domain, same PRNG draws, same trace records — to the same run at
 // 1 thread. "Serial" for comparison purposes *is* the 1-thread
-// execution of this engine; the legacy single-Scheduler path remains
-// byte-for-byte what it was before this engine existed (it differs from
-// the sharded schedule only in how same-timestamp events in *different*
-// domains interleave, which no protocol invariant observes).
+// execution of this engine.
+//
+// An engine with exactly one domain has no cross-domain edge and so no
+// lookahead to respect: run() skips epochs, barriers and mailboxes and
+// runs the one Scheduler plain, checking done() after every event. That
+// is the schedule of every unsharded harness::run_transfer.
 #pragma once
 
 #include <atomic>
@@ -88,7 +90,9 @@ class ShardEngine {
   /// at a barrier, or every next event lies beyond `horizon`. `done`
   /// may be empty. `threads` >= 1 is the worker count (clamped to the
   /// domain count); the result is identical for every value. Returns
-  /// the number of events executed by this call.
+  /// the number of events executed by this call. With one domain this
+  /// is Scheduler::run_while: done() is checked after every event, no
+  /// epoch is counted, and the clock stays at the last event.
   std::uint64_t run(const std::function<bool()>& done, SimTime horizon,
                     unsigned threads);
 

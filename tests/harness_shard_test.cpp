@@ -8,11 +8,13 @@
 // Coverage: 23 generator-built chaos scenarios (crashes, flaps,
 // partitions, burst loss, disturbances, trunk flaps, wireless fades,
 // churn, hierarchy — whatever the seeds draw) plus two hand-built
-// scenarios pinning the cases the issue calls out by name: a repairer
-// kill mid-stream and a membership-churn plan.
+// scenarios pinning a repairer kill mid-stream and a membership-churn
+// plan. The same 25 cells, plus a Sampler cell and a memory-budget
+// cell, also pin the one-domain engine to the unsharded schedule.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include "harness/chaos.hpp"
@@ -98,6 +100,11 @@ void expect_identical(const RunResult& want, const RunResult& have,
     EXPECT_EQ(w.stall_rejoins, h.stall_rejoins);
   }
 
+  // Memory ledger (one-domain runs only; zero otherwise).
+  EXPECT_EQ(want.mem_peak_bytes, have.mem_peak_bytes);
+  EXPECT_EQ(want.mem_alloc_fails, have.mem_alloc_fails);
+  EXPECT_EQ(want.mem_cache_evictions, have.mem_cache_evictions);
+
   // Merged trace streams, byte for byte (TraceRecord is packed 32-byte
   // POD, so memcmp sees every field).
   EXPECT_EQ(want.trace_dropped, have.trace_dropped);
@@ -107,6 +114,15 @@ void expect_identical(const RunResult& want, const RunResult& have,
                           have.trace_records.data(),
                           want.trace_records.size() *
                               sizeof(trace::TraceRecord)),
+              0);
+  }
+
+  // Sampler series (one-domain runs only), byte for byte: SamplePoint
+  // is a time stamp followed by doubles, with no padding.
+  ASSERT_EQ(want.samples.size(), have.samples.size());
+  if (!want.samples.empty()) {
+    EXPECT_EQ(std::memcmp(want.samples.data(), have.samples.data(),
+                          want.samples.size() * sizeof(trace::SamplePoint)),
               0);
   }
 }
@@ -139,11 +155,11 @@ TEST(ShardDifferential, ChaosBatteryIsThreadCountInvariant) {
   }
 }
 
-TEST(ShardDifferential, RepairerKillMidStream) {
-  // Hierarchy on; the group-0 repairer (its first receiver) crashes
-  // mid-transfer and restarts later, exercising child failover to the
-  // sender and the repairer's resync — all of it across the trunk
-  // boundary between domain 0 and the group domains.
+/// Hierarchy on; the group-0 repairer (its first receiver) crashes
+/// mid-transfer and restarts later, exercising child failover to the
+/// sender and the repairer's resync — all of it across the trunk
+/// boundary between domain 0 and the group domains.
+Scenario repairer_kill_scenario() {
   Workload wl;
   wl.file_bytes = 384 * 1024;
   Scenario sc = test_case_scenario(4, 12, 10e6, 256u << 10, wl, 20260808);
@@ -153,16 +169,14 @@ TEST(ShardDifferential, RepairerKillMidStream) {
   sc.faults.crash(0, sim::seconds(2)).restart(0, sim::seconds(6));
   sc.trace.enabled = true;
   sc.time_limit = sim::seconds(600);
-  const RunResult serial = run_battery_cell(sc);
-  EXPECT_TRUE(serial.sender_finished);
-  EXPECT_GT(serial.shard_handoffs, 0u);
+  return sc;
 }
 
-TEST(ShardDifferential, MembershipChurnMidStream) {
-  // A clean leave and a late join while the stream runs: the leave
-  // prunes the backbone graft through a barrier control post, the late
-  // join re-grafts — the zero-latency cross-domain edge the mailbox
-  // protocol quantizes to epoch boundaries.
+/// A clean leave and a late join while the stream runs: the leave
+/// prunes the backbone graft through a barrier control post, the late
+/// join re-grafts — the zero-latency cross-domain edge the mailbox
+/// protocol quantizes to epoch boundaries.
+Scenario churn_scenario() {
   Workload wl;
   wl.file_bytes = 256 * 1024;
   Scenario sc = test_case_scenario(5, 10, 10e6, 256u << 10, wl, 20260809);
@@ -171,7 +185,17 @@ TEST(ShardDifferential, MembershipChurnMidStream) {
   sc.churn.push_back({sim::seconds(2), 7, true});   // late join
   sc.trace.enabled = true;
   sc.time_limit = sim::seconds(600);
-  const RunResult serial = run_battery_cell(sc);
+  return sc;
+}
+
+TEST(ShardDifferential, RepairerKillMidStream) {
+  const RunResult serial = run_battery_cell(repairer_kill_scenario());
+  EXPECT_TRUE(serial.sender_finished);
+  EXPECT_GT(serial.shard_handoffs, 0u);
+}
+
+TEST(ShardDifferential, MembershipChurnMidStream) {
+  const RunResult serial = run_battery_cell(churn_scenario());
   EXPECT_TRUE(serial.sender_finished);
   EXPECT_GT(serial.shard_control_posts, 0u);
 }
@@ -206,22 +230,121 @@ TEST(ShardDifferential, AdaptiveFecUnderBurstLoss) {
 }
 
 TEST(ShardDifferential, LegacyAndShardedAgreeOnOutcome) {
-  // The legacy path is untouched and the sharded schedule may differ
-  // from it only in same-timestamp cross-domain interleaving — the
-  // protocol outcome must agree even where bit-identity isn't defined.
+  // The multi-domain schedule differs from the unsharded (one-domain)
+  // one where same-timestamp events in different domains interleave,
+  // where IGMP grafts wait for a barrier and where done() is sampled —
+  // the protocol outcome must agree even where bit-identity isn't
+  // defined.
   Workload wl;
   wl.file_bytes = 128 * 1024;
   Scenario sc = test_case_scenario(4, 8, 10e6, 256u << 10, wl, 31337);
-  const RunResult legacy = run_transfer(sc);
+  const RunResult unsharded = run_transfer(sc);
   sc.shard.enabled = true;
   sc.shard.threads = 2;
   const RunResult sharded = run_transfer(sc);
-  EXPECT_EQ(legacy.completed, sharded.completed);
-  EXPECT_EQ(legacy.sender_finished, sharded.sender_finished);
-  EXPECT_EQ(legacy.verify_ok, sharded.verify_ok);
-  EXPECT_EQ(legacy.receivers_total.bytes_delivered,
+  EXPECT_EQ(unsharded.completed, sharded.completed);
+  EXPECT_EQ(unsharded.sender_finished, sharded.sender_finished);
+  EXPECT_EQ(unsharded.verify_ok, sharded.verify_ok);
+  EXPECT_EQ(unsharded.receivers_total.bytes_delivered,
             sharded.receivers_total.bytes_delivered);
-  EXPECT_EQ(legacy.shard_domains, 0u);  // legacy reports no domains
+  EXPECT_EQ(unsharded.shard_domains, 0u);
+}
+
+TEST(ShardDifferential, OneDomainIsTheUnshardedSchedule) {
+  // The engine at one domain runs its Scheduler plain, so a sharded
+  // scenario capped at one domain must replay the unsharded run exactly
+  // — every event, every draw, every trace record and sample — however
+  // many threads it is offered.
+  std::vector<Scenario> cells;
+  for (int k = 0; k < kBatterySpecs; ++k) {
+    cells.push_back(to_scenario(generate_spec(kBatterySeedBase + k)));
+  }
+  cells.push_back(repairer_kill_scenario());
+  cells.push_back(churn_scenario());
+  {
+    Workload wl;
+    wl.file_bytes = 256 * 1024;
+    Scenario sc = lan_scenario(3, 10e6, 256u << 10, wl, 4242);
+    sc.name = "one-domain-sampler";
+    sc.trace.enabled = true;
+    sc.trace.sample_period = sim::milliseconds(20);
+    cells.push_back(sc);
+  }
+  cells.push_back(to_scenario(generate_mem_spec(kBatterySeedBase)));
+
+  for (Scenario sc : cells) {
+    SCOPED_TRACE(testing::Message() << "cell " << sc.name);
+    sc.trace.enabled = true;
+    const RunResult unsharded = run_transfer(sc);
+    sc.shard.enabled = true;
+    sc.shard.max_domains = 1;
+    sc.shard.threads = 4;
+    RunResult one = run_transfer(sc);
+    EXPECT_EQ(one.shard_domains, 1u);
+    EXPECT_EQ(one.shard_epochs, 0u);
+    EXPECT_EQ(unsharded.shard_domains, 0u);
+    one.shard_domains = 0;  // the only field that names the option
+    expect_identical(unsharded, one, 4);
+    EXPECT_EQ(unsharded.skb_peak_bytes, one.skb_peak_bytes);
+    EXPECT_EQ(unsharded.skb_live_bytes_end, one.skb_live_bytes_end);
+    if (sc.trace.sample_period > 0) {
+      EXPECT_FALSE(one.samples.empty());
+    }
+    if (sc.mem_budget > 0) {
+      EXPECT_GT(one.mem_peak_bytes, 0u);
+    }
+  }
+}
+
+TEST(ShardDifferential, LateJoinerIsNeverElectedRepairer) {
+  // Hierarchy on and the first receiver of group 0 joins late. Electing
+  // it would wire its group-mates to a socket that does not exist yet,
+  // and until it opens the sender gates releases on nobody in that
+  // subtree. The election must skip it: the next group-mate repairs,
+  // and the late joiner is an ordinary child.
+  Workload wl;
+  wl.file_bytes = 256 * 1024;
+  Scenario sc = test_case_scenario(4, 8, 10e6, 256u << 10, wl, 20260811);
+  sc.name = "shard-late-joiner-election";
+  sc.hierarchy.enabled = true;
+  sc.churn.push_back({sim::seconds(1), 0, true});
+  sc.trace.enabled = true;
+  sc.time_limit = sim::seconds(600);
+  ASSERT_EQ(sc.topo.groups[0].receivers, 6);
+  const RunResult serial = run_battery_cell(sc);
+  EXPECT_TRUE(serial.completed);
+  EXPECT_TRUE(serial.sender_finished);
+  ASSERT_EQ(serial.per_receiver.size(), 8u);
+  EXPECT_EQ(serial.per_receiver[0].agg_updates_sent, 0u);
+  EXPECT_EQ(serial.per_receiver[0].repairs_served, 0u);
+  EXPECT_GT(serial.per_receiver[1].agg_updates_sent, 0u);
+  for (std::size_t i = 1; i < 6; ++i) {
+    EXPECT_EQ(serial.per_receiver[i].repair_failovers, 0u) << "receiver " << i;
+  }
+}
+
+TEST(ShardDifferential, MemIsRejectedAcrossDomains) {
+  // One MemAccountant serves every host and its squeeze windows are
+  // global, so a multi-domain run cannot honour it; it must refuse
+  // rather than silently run without a budget.
+  Workload wl;
+  wl.file_bytes = 64 * 1024;
+  const Scenario base = lan_scenario(2, 10e6, 256u << 10, wl, 1);
+  Scenario budget = base;
+  budget.mem_budget = 96 * 1024;
+  Scenario squeeze = base;
+  squeeze.faults.mem_pressure(0, sim::milliseconds(10), 0.5);
+  Scenario alloc_fail = base;
+  alloc_fail.faults.alloc_fail(0, sim::milliseconds(10), 0.1);
+  for (Scenario sc : {budget, squeeze, alloc_fail}) {
+    const RunResult unsharded = run_transfer(sc);
+    EXPECT_TRUE(unsharded.completed);
+    sc.shard.enabled = true;
+    sc.shard.max_domains = 1;
+    EXPECT_TRUE(run_transfer(sc).completed);
+    sc.shard.max_domains = 0;
+    EXPECT_THROW(run_transfer(sc), std::invalid_argument);
+  }
 }
 
 TEST(ShardDifferential, SamplerIsRejectedUnderSharding) {
@@ -236,8 +359,8 @@ TEST(ShardDifferential, SamplerIsRejectedUnderSharding) {
 
 TEST(ShardDifferential, MaxDomainsCollapsesAndWrapsDeterministically) {
   // max_domains = 2 folds every group into one non-sender domain;
-  // max_domains = 1 folds everything into domain 0. Both still run
-  // through the engine and stay thread-count invariant.
+  // max_domains = 1 folds everything into domain 0 (the unsharded
+  // schedule). Both stay thread-count invariant.
   Workload wl;
   wl.file_bytes = 128 * 1024;
   for (std::size_t cap : {1u, 2u}) {

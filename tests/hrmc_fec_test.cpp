@@ -413,7 +413,7 @@ class FecWrapTest : public FecTest {
  protected:
   void SetUp() override {
     // The 4-packet group starts 2 packets before the 2^32 wrap.
-    cfg_.initial_seq = static_cast<kern::Seq>(0) - 2 * kMss;
+    cfg_.initial_seq = kern::Seq{0} - kern::Seq{2 * kMss};
     FecTest::SetUp();
   }
 };

@@ -111,8 +111,8 @@ TEST(Integration, ZeroByteStreamCompletes) {
 
 TEST(Integration, SingleByteStream) {
   Session s(2);
-  auto* r0 = s.add_receiver(0);
-  auto* r1 = s.add_receiver(1);
+  s.add_receiver(0);
+  s.add_receiver(1);
   s.run_for(sim::milliseconds(100));
   s.write_all(1);
   s.sched.run_while([&] { return !s.snd->finished(); }, sim::seconds(30));
@@ -198,7 +198,6 @@ TEST(Integration, SenderWaitsOnSilentReceiver) {
   EXPECT_TRUE(r0->complete());
   EXPECT_GT(s.snd->stats().probes_sent, 0u);
   EXPECT_GT(s.snd->stats().keepalives_sent, 0u);
-  (void)r0;
 }
 
 TEST(Integration, TwoSequentialTransfersOnFreshSockets) {
@@ -206,7 +205,7 @@ TEST(Integration, TwoSequentialTransfersOnFreshSockets) {
   // destroyed and recreated), checking clean teardown/re-registration.
   for (int round = 0; round < 2; ++round) {
     Session s(1, proto::Config{}, 0.0, 555 + round);
-    auto* r = s.add_receiver(0);
+    s.add_receiver(0);
     s.run_for(sim::milliseconds(100));
     s.write_all(64 * 1024);
     s.sched.run_while([&] { return !s.snd->finished(); }, sim::seconds(60));

@@ -1,8 +1,8 @@
 // Schedule-identity golden values.
 //
 // Two small cells pinned by their replay-identity tuple
-// (events_executed, rng_digest): one on the legacy single-Scheduler
-// engine, one on the sharded engine. Either number moves when anything
+// (events_executed, rng_digest): one unsharded (the one-domain engine,
+// which runs a single Scheduler plain), one on the sharded engine. Either number moves when anything
 // changes which events run, in what order, or which PRNG draws they
 // make — so a change meant to be a pure host-speed optimisation (byte
 // loops, allocation, heap comparator inlining) must leave both exactly

@@ -160,6 +160,26 @@ TEST(ShardEngine, DonePredicateStopsAtABarrier) {
   EXPECT_TRUE(eng.domain(1).next_event_time() < kTimeInfinity);
 }
 
+TEST(ShardEngine, OneDomainStopsRightAfterDone) {
+  // One domain has no cross-domain edge, so there is no window to
+  // finish: done() is checked after every event and the run stops
+  // right after the event that makes it true — the plain
+  // Scheduler::run_while schedule — even with later events inside what
+  // would have been the same lookahead window.
+  ShardEngine eng(1, microseconds(50));
+  bool flag = false;
+  int late = 0;
+  eng.domain(0).schedule_at(microseconds(1), [&flag] { flag = true; });
+  eng.domain(0).schedule_at(microseconds(2), [&late] { ++late; });
+  eng.domain(0).schedule_at(microseconds(30), [&late] { ++late; });
+  EXPECT_EQ(eng.run([&flag] { return flag; }, kTimeInfinity, 4), 1u);
+  EXPECT_EQ(late, 0);
+  EXPECT_EQ(eng.domain(0).now(), microseconds(1));
+  EXPECT_EQ(eng.stats().epochs, 0u);
+  EXPECT_EQ(eng.run({}, kTimeInfinity, 1), 2u);
+  EXPECT_EQ(late, 2);
+}
+
 TEST(ShardEngine, HorizonBoundsEveryDomain) {
   // Events beyond the horizon stay queued; domain clocks advance to
   // the horizon like Scheduler::run_until's contract.
