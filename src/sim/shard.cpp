@@ -100,31 +100,37 @@ void ShardEngine::apply_controls() {
   }
 }
 
-void ShardEngine::run_claimed(SimTime until, std::size_t worker) {
-  for (;;) {
-    const std::size_t k = claim_.fetch_add(1, std::memory_order_relaxed);
-    if (k >= active_.size()) return;
-    try {
-      domains_[active_[k]]->run_until(until);
-    } catch (...) {
-      worker_errors_[worker] = std::current_exception();
-      return;
+bool ShardEngine::has_work(const Worker& w) {
+  for (std::size_t d = w.first; d < w.last; ++d) {
+    if (domains_[d]->next_event_time() < window_end_) return true;
+  }
+  return false;
+}
+
+void ShardEngine::run_owned(Worker& w) {
+  try {
+    for (std::size_t d = w.first; d < w.last; ++d) {
+      if (domains_[d]->next_event_time() < window_end_) {
+        domains_[d]->run_until(window_end_ - 1);
+      }
     }
+  } catch (...) {
+    w.error = std::current_exception();
   }
 }
 
-void ShardEngine::worker_loop(std::size_t worker) {
+void ShardEngine::worker_loop(Worker& w) {
   std::uint64_t seen = 0;
   for (;;) {
     SpinWait spin;
     std::uint64_t e;
-    while ((e = epoch_.load(std::memory_order_acquire)) == seen) {
+    while ((e = w.wake.load(std::memory_order_acquire)) == seen) {
       spin.pause();
     }
-    if (stop_.load(std::memory_order_relaxed)) return;
+    if (e == kStop) return;
     seen = e;
-    run_claimed(window_end_ - 1, worker);
-    arrived_.fetch_add(1, std::memory_order_release);
+    run_owned(w);
+    pending_.fetch_sub(1, std::memory_order_release);
   }
 }
 
@@ -138,29 +144,35 @@ std::uint64_t ShardEngine::run(const std::function<bool()>& done,
     return domains_[0]->run_while([&done] { return !(done && done()); },
                                   horizon);
   }
-  const unsigned workers = static_cast<unsigned>(std::min<std::size_t>(
-      std::max(1u, threads), d));
+  const std::size_t workers = std::min<std::size_t>(std::max(1u, threads), d);
   const std::uint64_t executed_before = executed();
 
+  // owner(dom) = dom * workers / d: contiguous blocks, none empty since
+  // workers <= d, and worker 0 (this thread) holds domain 0.
+  workers_ = std::make_unique<Worker[]>(workers);
+  for (std::size_t w = 0; w < workers; ++w) {
+    workers_[w].first = (w * d + workers - 1) / workers;
+    workers_[w].last = ((w + 1) * d + workers - 1) / workers;
+  }
   running_ = true;
-  stop_.store(false, std::memory_order_relaxed);
-  epoch_.store(0, std::memory_order_relaxed);
-  worker_errors_.assign(workers, nullptr);
 
   std::vector<std::thread> pool;
-  pool.reserve(workers > 0 ? workers - 1 : 0);
-  for (unsigned w = 1; w < workers; ++w) {
-    pool.emplace_back([this, w] { worker_loop(w); });
-  }
+  pool.reserve(workers - 1);
+  std::vector<std::size_t> to_wake;
+  to_wake.reserve(workers - 1);
   const auto join_pool = [&] {
-    if (pool.empty()) return;
-    stop_.store(true, std::memory_order_relaxed);
-    epoch_.fetch_add(1, std::memory_order_release);  // wake to exit
+    for (std::size_t w = 1; w <= pool.size(); ++w) {
+      workers_[w].wake.store(kStop, std::memory_order_release);
+    }
     for (std::thread& t : pool) t.join();
     pool.clear();
+    running_ = false;
   };
 
   try {
+    for (std::size_t w = 1; w < workers; ++w) {
+      pool.emplace_back([this, w] { worker_loop(workers_[w]); });
+    }
     for (;;) {
       // --- Serial phase (coordinator only, between windows). ---
       flush_mailboxes();
@@ -180,40 +192,31 @@ std::uint64_t ShardEngine::run(const std::function<bool()>& done,
       if (horizon != kTimeInfinity && window_end_ > horizon) {
         window_end_ = horizon + 1;
       }
-
-      active_.clear();
-      for (std::uint32_t i = 0; i < d; ++i) {
-        if (domains_[i]->next_event_time() < window_end_) {
-          active_.push_back(i);
-        }
-      }
       ++stats_.epochs;
 
-      // --- Parallel phase. ---
-      claim_.store(0, std::memory_order_relaxed);
-      if (pool.empty()) {
-        run_claimed(window_end_ - 1, 0);
-      } else {
-        arrived_.store(0, std::memory_order_relaxed);
-        epoch_.fetch_add(1, std::memory_order_release);
-        run_claimed(window_end_ - 1, 0);
-        SpinWait spin;
-        while (arrived_.load(std::memory_order_acquire) != workers - 1) {
-          spin.pause();
-        }
+      // --- Parallel phase: wake only the workers with work. ---
+      to_wake.clear();
+      for (std::size_t w = 1; w < workers; ++w) {
+        if (has_work(workers_[w])) to_wake.push_back(w);
       }
-      for (const std::exception_ptr& err : worker_errors_) {
-        if (err) std::rethrow_exception(err);
+      pending_.store(static_cast<unsigned>(to_wake.size()),
+                     std::memory_order_relaxed);
+      for (std::size_t w : to_wake) {
+        workers_[w].wake.store(stats_.epochs, std::memory_order_release);
+      }
+      run_owned(workers_[0]);
+      SpinWait spin;
+      while (pending_.load(std::memory_order_acquire) != 0) spin.pause();
+      for (std::size_t w = 0; w < workers; ++w) {
+        if (workers_[w].error) std::rethrow_exception(workers_[w].error);
       }
     }
   } catch (...) {
     join_pool();
-    running_ = false;
     throw;
   }
 
   join_pool();
-  running_ = false;
   return executed() - executed_before;
 }
 

@@ -13,13 +13,14 @@
 // as the traffic makes it).
 //
 // Determinism is by construction, at any thread count:
-//  - Within a domain, its Scheduler's (when, seq) order is untouched;
-//    which OS thread runs the domain never matters because domains
-//    share no mutable state inside a window.
+//  - Within a domain, its Scheduler's (when, seq) order is untouched.
+//    Each domain is run by one fixed OS thread for the whole run, and
+//    which thread that is never matters because domains share no
+//    mutable state inside a window.
 //  - Handoffs are staged per (src, dst) pair by the one thread that
-//    owns src that epoch (lock-free), and spliced at the barrier in a
-//    fixed order (src ascending, first-touch dst order, FIFO within a
-//    pair), so destination sequence numbers are reproducible.
+//    owns src (lock-free), and spliced at the barrier in a fixed order
+//    (src ascending, first-touch dst order, FIFO within a pair), so
+//    destination sequence numbers are reproducible.
 //  - Control posts (multicast grafts — zero-latency cross-domain state
 //    changes) are deferred to the barrier and applied serially in the
 //    same fixed order, quantizing them to the epoch boundary.
@@ -70,7 +71,7 @@ class ShardEngine {
   [[nodiscard]] SimTime lookahead() const { return lookahead_; }
 
   /// Stages `fn` to run in domain `dst` at absolute time `when`. Called
-  /// from domain `src`'s events (its owning thread this epoch); spliced
+  /// from domain `src`'s events (on its owning thread); spliced
   /// into dst's queue at the next barrier. `when` must honor the
   /// lookahead — at least the current window's end — or the engine
   /// throws: a violation means the topology's cross-domain latency
@@ -110,13 +111,26 @@ class ShardEngine {
     std::function<void()> fn;
   };
 
+  /// One worker thread's fixed share of the domains and its wake word.
+  /// Padded to a cache line so the coordinator's store to one worker's
+  /// word never invalidates another's.
+  struct alignas(64) Worker {
+    /// The epoch this worker is asked to run; kStop tells it to exit.
+    std::atomic<std::uint64_t> wake{0};
+    std::size_t first = 0;  ///< owned domains are [first, last)
+    std::size_t last = 0;
+    std::exception_ptr error;  ///< first failure in an owned domain
+  };
+  static constexpr std::uint64_t kStop = ~std::uint64_t{0};
+
   void flush_mailboxes();
   void apply_controls();
-  /// Claims domains off `active_` until none remain (work stealing:
-  /// domain cost varies with traffic, so static striping would idle the
-  /// fast workers at the tail of every epoch).
-  void run_claimed(SimTime until, std::size_t worker);
-  void worker_loop(std::size_t worker);
+  /// True if one of `w`'s domains has an event inside the window.
+  [[nodiscard]] bool has_work(const Worker& w);
+  /// Runs `w`'s domains that have work through the window; stops at
+  /// the first exception and records it in `w.error`.
+  void run_owned(Worker& w);
+  void worker_loop(Worker& w);
 
   std::vector<std::unique_ptr<Scheduler>> domains_;
   SimTime lookahead_;
@@ -133,16 +147,15 @@ class ShardEngine {
   bool running_ = false;
   SimTime window_end_ = 0;  ///< current epoch's end (posts must be >= this)
 
-  // Epoch barrier: the coordinator bumps epoch_ to release workers and
-  // waits for arrived_; workers claim domains via claim_. All worker
-  // visibility (active_, window_end_) is ordered by the epoch_
-  // release/acquire pair.
-  std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<unsigned> arrived_{0};
-  std::atomic<std::size_t> claim_{0};
-  std::atomic<bool> stop_{false};
-  std::vector<std::uint32_t> active_;
-  std::vector<std::exception_ptr> worker_errors_;
+  // Epoch barrier. Domain d belongs to worker d * W / D for the whole
+  // run (a contiguous block, so domain 0 stays on the calling thread,
+  // worker 0). Per epoch the coordinator sets pending_ to the number of
+  // workers it wakes, stores the epoch number into just their wake
+  // words, runs its own block, and waits for pending_ to drain. The
+  // wake store (release) publishes window_end_; each worker's
+  // decrement (release) publishes its domains' mailboxes and error.
+  std::unique_ptr<Worker[]> workers_;
+  alignas(64) std::atomic<unsigned> pending_{0};
 };
 
 }  // namespace hrmc::sim

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -85,6 +86,76 @@ TEST(ShardEngine, BitIdenticalAcrossThreadCounts) {
   // 8 tokens x 25 hops cross a boundary once each.
   EXPECT_EQ(serial.stats.handoffs, 8u * 25u);
   EXPECT_EQ(serial.stats.handoff_bytes, 8u * 25u * 64u);
+}
+
+TEST(ShardEngine, DomainStaysOnOneThread) {
+  // Ownership is fixed for the whole run: domain d belongs to worker
+  // d * W / D, so every event of a domain runs on one OS thread, the
+  // blocks are contiguous, and domain 0 stays on the calling thread.
+  constexpr std::size_t kDomains = 5;
+  for (unsigned threads : {2u, 3u, 4u}) {
+    PingWorld w(kDomains, microseconds(50));
+    std::vector<std::vector<std::thread::id>> ran_on(kDomains);
+    for (std::size_t d = 0; d < kDomains; ++d) {
+      // Ten local events spread over many windows, plus a token that
+      // visits every domain.
+      for (int i = 0; i < 10; ++i) {
+        w.engine.domain(d).schedule_at(microseconds(1 + 70 * i),
+                                       [&ran_on, d] {
+          ran_on[d].push_back(std::this_thread::get_id());
+        });
+      }
+      w.engine.domain(d).schedule_at(microseconds(2), [&w, d] {
+        w.hop(d, static_cast<int>(d), 12);
+      });
+    }
+    w.engine.run({}, kTimeInfinity, threads);
+    for (std::size_t d = 0; d < kDomains; ++d) {
+      ASSERT_EQ(ran_on[d].size(), 10u);
+      for (const std::thread::id& id : ran_on[d]) {
+        EXPECT_EQ(id, ran_on[d].front())
+            << "domain " << d << " changed thread at " << threads
+            << " threads";
+      }
+    }
+    EXPECT_EQ(ran_on[0].front(), std::this_thread::get_id())
+        << threads << " threads";
+    for (std::size_t d = 0; d + 1 < kDomains; ++d) {
+      const bool same_owner =
+          d * threads / kDomains == (d + 1) * threads / kDomains;
+      EXPECT_EQ(ran_on[d].front() == ran_on[d + 1].front(), same_owner)
+          << "domains " << d << "," << d + 1 << " at " << threads
+          << " threads";
+    }
+  }
+}
+
+TEST(ShardEngine, WorkerDomainErrorPropagates) {
+  // A lookahead violation raised on a worker thread (the last domain,
+  // never the caller's at 2 or 4 threads) surfaces from run() once
+  // every woken worker has finished the window, and the engine then
+  // tears down cleanly.
+  for (unsigned threads : {2u, 4u}) {
+    int local_events = 0;
+    {
+      ShardEngine eng(4, microseconds(50));
+      // Domain 2 has a run of local events in the same window, owned by
+      // a worker at both thread counts; they all complete.
+      for (int i = 0; i < 200; ++i) {
+        eng.domain(2).schedule_at(microseconds(10) + i,
+                                  [&local_events] { ++local_events; });
+      }
+      eng.domain(3).schedule_at(microseconds(10), [&eng] {
+        eng.post(3, 0, eng.domain(3).now(), 10, [] {});  // zero latency
+      });
+      eng.domain(0).schedule_at(microseconds(11), [] {});
+      EXPECT_THROW(eng.run({}, kTimeInfinity, threads), std::logic_error)
+          << threads << " threads";
+      EXPECT_EQ(eng.stats().epochs, 1u);
+      EXPECT_EQ(eng.domain(0).executed(), 1u);
+    }
+    EXPECT_EQ(local_events, 200) << threads << " threads";
+  }
 }
 
 TEST(ShardEngine, EpochsSkipIdleGaps) {
