@@ -1,19 +1,16 @@
-// trace_dump: run a scenario with the protocol tracer on, dump the
-// event trace as JSONL to stdout, and replay it through the invariant
-// checker. The JSONL stream is what tools/check_trace.py consumes:
+// trace_dump: run a scenario with the protocol tracer on and dump the
+// event trace as JSONL to stdout, for examples/trace_check to replay:
 //
-//   ./trace_dump          | tools/check_trace.py     # clean LAN run
-//   ./trace_dump --lossy  | tools/check_trace.py     # crash + flap + burst
+//   ./trace_dump          | ./trace_check     # clean LAN run
+//   ./trace_dump --lossy  | ./trace_check     # crash + flap + burst
 //
-// Exits non-zero if the built-in checker finds a violation (or if the
-// transfer itself fails), so a CI pipe through check_trace.py tests
-// both implementations of the invariants against the same trace.
+// Exits non-zero if the transfer itself fails; checking the trace is
+// trace_check's job.
 #include <cstring>
 #include <iostream>
 
 #include "harness/scenario.hpp"
 #include "trace/jsonl.hpp"
-#include "trace/verify.hpp"
 
 using namespace hrmc;
 using namespace hrmc::harness;
@@ -60,14 +57,5 @@ int main(int argc, char** argv) {
     std::cerr << "trace_dump: transfer FAILED\n";
     return 1;
   }
-
-  const trace::VerifyResult v = trace::verify(r.trace_records);
-  std::cerr << "trace_dump: verify: " << v.releases_checked
-            << " releases / " << v.naks_checked << " naks / "
-            << v.sends_checked << " sends checked, " << v.violation_count
-            << " violations\n";
-  for (const std::string& s : v.violations) {
-    std::cerr << "trace_dump: violation: " << s << '\n';
-  }
-  return v.ok ? 0 : 1;
+  return 0;
 }

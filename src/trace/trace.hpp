@@ -12,8 +12,8 @@
 //    unaffected by the instrumentation's existence.
 //  - Records must be self-describing enough to replay: every record
 //    carries (time, host, kind, seq range, value, aux), and the host-id
-//    convention below is shared by the harness, the verifier, and
-//    tools/check_trace.py.
+//    convention below is shared by the harness and the verifier, which
+//    also replays a JSONL dump (examples/trace_check).
 //
 // The ring overwrites its *oldest* records when full (like the kernel's
 // ftrace ring buffer), counting the overwritten records in dropped() so
@@ -40,7 +40,7 @@ namespace hrmc::trace {
 inline constexpr bool kEnabled = HRMC_TRACING != 0;
 
 /// What happened. Grouped by emitting layer; values are stable wire
-/// numbers (the JSONL dump and check_trace.py key off the names).
+/// numbers (the JSONL dump and read_jsonl key off the names).
 enum class EventKind : std::uint8_t {
   kNone = 0,
 
@@ -93,7 +93,7 @@ enum class EventKind : std::uint8_t {
 
   // Memory pressure (kern::MemAccountant consumers). value = the
   // emitting host's ledger live bytes at/after the event — the budget
-  // invariant (trace::verify --mem) checks value <= budget on both.
+  // invariant (trace::verify invariant 4) checks value <= budget on both.
   kAllocFail = 44,   ///< fallible allocation refused; [seq range) if any,
                      ///< aux = kern::MemComponent
   kCacheEvict = 45,  ///< cache entry evicted under pressure; [seq range)
@@ -135,6 +135,8 @@ struct TraceRecord {
   std::uint16_t host = 0;      ///< emitting entity (host-id convention)
   EventKind kind = EventKind::kNone;
   std::uint8_t flags = 0;      ///< bit 0: solicited / URG-marked
+
+  friend bool operator==(const TraceRecord&, const TraceRecord&) = default;
 };
 static_assert(sizeof(TraceRecord) == 32, "trace records are 32-byte POD");
 static_assert(std::is_trivially_copyable_v<TraceRecord>);
@@ -146,10 +148,10 @@ constexpr std::uint8_t kFlagSolicited = 1;
 /// this host's own (repairer-directed) reports.
 constexpr std::uint8_t kFlagAggregated = 2;
 
-// Host-id convention (shared with harness::run_transfer, trace::verify
-// and tools/check_trace.py): the sender is 0, receiver i is 1+i,
-// routers and NICs live in their own ranges well above any receiver
-// count a scenario uses.
+// Host-id convention (shared with harness::run_transfer and
+// trace::verify): the sender is 0, receiver i is 1+i, routers and NICs
+// live in their own ranges well above any receiver count a scenario
+// uses.
 inline constexpr std::uint16_t kSenderHost = 0;
 constexpr std::uint16_t receiver_host(std::size_t i) {
   return static_cast<std::uint16_t>(1 + i);

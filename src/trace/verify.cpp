@@ -1,6 +1,7 @@
 #include "trace/verify.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 
 #include "kern/jiffies.hpp"
@@ -95,21 +96,31 @@ class Verifier {
   void violate(const TraceRecord& r, const std::string& what) {
     res_.ok = false;
     ++res_.violation_count;
-    if (res_.violations.size() < opt_.max_violations) {
+    if (res_.violations.size() < kMaxViolations) {
       res_.violations.push_back(
           "t=" + std::to_string(r.t) + " host=" + std::to_string(r.host) +
           " " + kind_name(r.kind) + ": " + what);
     }
   }
 
-  // --- receiver bookkeeping shared by invariants 1 and 2 ---
+  // --- receiver bookkeeping shared by invariants 1, 2 and 5 ---
 
   RcvState& rcv(std::uint16_t host) { return receivers_[host]; }
 
-  void note_coverage(const TraceRecord& r, Seq reported) {
+  /// A coverage report: raises the high-water, moots NAKs below it, and
+  /// (unless `aggregate`) must not fall behind it (invariant 5).
+  void note_coverage(const TraceRecord& r, Seq reported,
+                     bool aggregate = false) {
     RcvState& s = rcv(r.host);
     if (!s.armed) return;  // pre-JOIN feedback cannot arm the gate
-    if (seq_after(reported, s.high)) s.high = reported;
+    if (seq_after(reported, s.high)) {
+      s.high = reported;
+    } else if (!aggregate && seq_before(reported, s.high)) {
+      violate(r, "reported position " + std::to_string(reported) +
+                     " regressed behind the high-water " +
+                     std::to_string(s.high));
+    }
+    if (!aggregate) ++res_.progress_checked;
     clear_naks_below(r.host, reported);
   }
 
@@ -265,7 +276,7 @@ class Verifier {
         RcvState& s = rcv(r.host);
         s.exempt = false;
         s.high = r.seq_begin;
-        if (opt_.check_nak) drop_naks(r.host);
+        drop_naks(r.host);
         break;
       }
       case EventKind::kResyncJoin:
@@ -278,7 +289,7 @@ class Verifier {
         // stops re-sending NAKs, so it can no longer gate releases or
         // hold the sender to the NAK-answer bound.
         rcv(r.host).exempt = true;
-        if (opt_.check_nak) drop_naks(r.host);
+        drop_naks(r.host);
         break;
       case EventKind::kUpdate:
       case EventKind::kRateRequest:
@@ -290,8 +301,9 @@ class Verifier {
         // Aggregated subtree UPDATE: seq_begin is the *minimum* over the
         // represented leaves, so raising the emitter's high-water with it
         // is conservative — release safety is judged against subtree
-        // minima, never against a leaf the aggregate outran.
-        note_coverage(r, r.seq_begin);
+        // minima, never against a leaf the aggregate outran. A lower
+        // aggregate is a laggard child registering, not counter drift.
+        note_coverage(r, r.seq_begin, /*aggregate=*/true);
         break;
       case EventKind::kNakEmit:
       case EventKind::kNakForward:
@@ -299,17 +311,17 @@ class Verifier {
         // the repairer could not serve it locally, so only the sender's
         // (multicast) retransmission can answer it.
         note_coverage(r, static_cast<Seq>(r.value));
-        if (opt_.check_nak) add_pending_nak(r);
+        add_pending_nak(r);
         break;
       case EventKind::kOooInsert:
-        if (opt_.check_nak) fill_naks(r.host, r.seq_begin, r.seq_end);
+        fill_naks(r.host, r.seq_begin, r.seq_end);
         break;
       case EventKind::kFecRepair:
         // A parity reconstruction buffers the missing packet exactly
         // like an arriving retransmission would: any pending NAK it
         // covers is moot, and release safety sees the position advance
         // through the receiver's ordinary coverage reports.
-        if (opt_.check_nak) fill_naks(r.host, r.seq_begin, r.seq_end);
+        fill_naks(r.host, r.seq_begin, r.seq_end);
         break;
       case EventKind::kFecDecodeFail:
         // Informational: the group falls back to the NAK path, whose
@@ -318,7 +330,7 @@ class Verifier {
       case EventKind::kDown:
         if (is_receiver_host(r.host)) {
           rcv(r.host).exempt = true;
-          if (opt_.check_nak) drop_naks(r.host);
+          drop_naks(r.host);
         }
         break;
       case EventKind::kUp:
@@ -335,26 +347,26 @@ class Verifier {
         break;
       }
       case EventKind::kRetransmit:
-        if (opt_.check_nak) answer_naks(r, r.seq_begin, r.seq_end);
-        if (opt_.check_rate) account_send(r);
+        answer_naks(r, r.seq_begin, r.seq_end);
+        account_send(r);
         break;
       case EventKind::kRepairTx:
         // A local repair answers the child's pending NAK but spends no
         // sender-rate tokens: the repairer's unicast re-send never
         // crosses the sender's paced uplink.
-        if (opt_.check_nak) answer_naks(r, r.seq_begin, r.seq_end);
+        answer_naks(r, r.seq_begin, r.seq_end);
         break;
       case EventKind::kNakErr:
-        if (opt_.check_nak) answer_naks(r, r.seq_begin, r.seq_end);
+        answer_naks(r, r.seq_begin, r.seq_end);
         break;
       case EventKind::kSend:
-        if (opt_.check_rate) account_send(r);
+        account_send(r);
         break;
       case EventKind::kAllocFail:
       case EventKind::kCacheEvict:
         // Budget safety (invariant 4): the record's value field is the
         // emitting host's ledger live bytes at/after the event.
-        if (opt_.check_mem && opt_.mem_budget > 0) {
+        if (opt_.mem_budget > 0) {
           ++res_.mem_checked;
           if (r.value > opt_.mem_budget) {
             violate(r, "ledger live " + std::to_string(r.value) +
@@ -369,6 +381,17 @@ class Verifier {
             std::max(stop_until_, static_cast<sim::SimTime>(r.value));
         break;
       case EventKind::kRelease:
+        // Invariant 5: the sender never re-anchors, so its release head
+        // is monotone across every restart, flap and churn event.
+        ++res_.progress_checked;
+        if (release_high_ && seq_before(r.seq_end, *release_high_)) {
+          violate(r, "release head " + std::to_string(r.seq_end) +
+                         " regressed behind " +
+                         std::to_string(*release_high_));
+        }
+        if (!release_high_ || seq_after(r.seq_end, *release_high_)) {
+          release_high_ = r.seq_end;
+        }
         if (opt_.check_release) {
           ++res_.releases_checked;
           for (const auto& [host, s] : receivers_) {
@@ -387,12 +410,11 @@ class Verifier {
   }
 
   void finish(sim::SimTime end) {
-    if (!opt_.check_nak) return;
     for (const PendingNak& p : pending_) {
       if (end - p.first_emit > opt_.nak_answer_bound) {
         res_.ok = false;
         ++res_.violation_count;
-        if (res_.violations.size() < opt_.max_violations) {
+        if (res_.violations.size() < kMaxViolations) {
           res_.violations.push_back(
               "trace end: NAK from host " + std::to_string(p.host) +
               " for [" + std::to_string(p.from) + "," +
@@ -409,6 +431,8 @@ class Verifier {
   std::unordered_map<std::uint16_t, RcvState> receivers_;
   std::unordered_map<std::uint64_t, std::uint16_t> addr_to_host_;
   std::vector<PendingNak> pending_;
+
+  std::optional<Seq> release_high_;  ///< highest release seq_end so far
 
   bool bucket_primed_ = false;
   double tokens_ = 0;

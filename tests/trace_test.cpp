@@ -4,6 +4,9 @@
 // (a checker that never fires is indistinguishable from no checker).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -32,6 +35,19 @@ TraceRecord rec(sim::SimTime t, std::uint16_t host, EventKind k,
   r.value = value;
   r.aux = aux;
   return r;
+}
+
+/// True if some rendered violation contains `text`.
+bool has_violation(const trace::VerifyResult& v, const std::string& text) {
+  return std::any_of(v.violations.begin(), v.violations.end(),
+                     [&](const std::string& s) {
+                       return s.find(text) != std::string::npos;
+                     });
+}
+
+trace::JsonlRead read_text(const std::string& text) {
+  std::istringstream is(text);
+  return trace::read_jsonl(is);
 }
 
 }  // namespace
@@ -148,6 +164,81 @@ TEST(TraceJsonl, OneObjectPerLine) {
   EXPECT_NE(out.find("\"seq_end\":1461"), std::string::npos);
 }
 
+TEST(TraceJsonl, RoundTripsEveryKind) {
+  std::vector<TraceRecord> recs;
+  for (unsigned k = 0; k <= std::numeric_limits<std::uint8_t>::max(); ++k) {
+    const auto kind = static_cast<EventKind>(k);
+    if (std::string(trace::kind_name(kind)) == "?") continue;
+    TraceRecord r = rec(1000 * k, static_cast<std::uint16_t>(k), kind, k,
+                        k + 1460, 7 * k, k);
+    r.flags = static_cast<std::uint8_t>(k);
+    recs.push_back(r);
+  }
+  EXPECT_GT(recs.size(), 30u);
+  // Field extremes.
+  TraceRecord hi = rec(std::numeric_limits<sim::SimTime>::max(), 65535,
+                       EventKind::kRelease, 0xffffffffu, 0xffffffffu,
+                       std::numeric_limits<std::uint64_t>::max(),
+                       0xffffffffu);
+  hi.flags = 255;
+  recs.push_back(hi);
+  recs.push_back(rec(0, 0, EventKind::kNone, 0, 0, 0));
+
+  std::ostringstream os;
+  trace::write_jsonl(os, recs);
+  const trace::JsonlRead back = read_text(os.str());
+  EXPECT_EQ(back.error, "");
+  EXPECT_EQ(back.records, recs);
+}
+
+TEST(TraceJsonl, RejectsMalformedLines) {
+  const std::string good =
+      "{\"t\":5,\"host\":1,\"kind\":\"nak\",\"seq_begin\":100,"
+      "\"seq_end\":200,\"value\":100,\"aux\":0,\"flags\":0}";
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string line = good;
+    line.replace(line.find(from), from.size(), to);
+    return line;
+  };
+  // A valid line and a blank one first: the error names line 3.
+  const auto error_of = [&](const std::string& bad) {
+    const trace::JsonlRead r = read_text(good + "\n\n" + bad + "\n");
+    EXPECT_TRUE(r.records.empty()) << bad;
+    return r.error;
+  };
+  const auto expect_error = [&](const std::string& bad,
+                                const std::string& what) {
+    const std::string err = error_of(bad);
+    EXPECT_EQ(err.rfind("line 3: ", 0), 0u) << bad << " -> " << err;
+    EXPECT_NE(err.find(what), std::string::npos) << bad << " -> " << err;
+  };
+
+  EXPECT_EQ(read_text(good + "\n").error, "");
+  expect_error("{\"t\":1}", "missing key \"host\"");
+  expect_error(with("\"aux\":0", "\"aux\":0,\"x\":1"), "unknown key \"x\"");
+  expect_error(with("\"aux\":0", "\"t\":0"), "repeated key \"t\"");
+  expect_error(with("\"nak\"", "\"bogus\""), "unknown kind \"bogus\"");
+  expect_error(with("\"nak\"", "\"?\""), "unknown kind");
+  expect_error(with("\"nak\"", "23"), "\"kind\": not a string");
+  expect_error(with("\"value\":100", "\"value\":1.5"),
+               "\"value\": not an integer");
+  expect_error(with("\"value\":100", "\"value\":\"100\""),
+               "\"value\": not an integer");
+  expect_error(with("\"value\":100", "\"value\":true"),
+               "\"value\": not an integer");
+  expect_error(with("\"host\":1", "\"host\":65536"),
+               "\"host\": value out of range");
+  expect_error(with("\"flags\":0", "\"flags\":256"),
+               "\"flags\": value out of range");
+  expect_error(with("\"seq_begin\":100", "\"seq_begin\":4294967296"),
+               "\"seq_begin\": value out of range");
+  expect_error(with("\"seq_end\":200", "\"seq_end\":-1"),
+               "\"seq_end\": value out of range");
+  expect_error(good + "x", "trailing bytes");
+  expect_error(good + "{}", "trailing bytes");
+  expect_error("[1]", "expected '{'");
+}
+
 // --- verifier: synthetic traces (run in both build modes) --------------
 
 TEST(TraceVerify, CleanSyntheticTracePasses) {
@@ -248,6 +339,72 @@ TEST(TraceVerify, OptionsDisableIndividualChecks) {
   trace::VerifyOptions opt;
   opt.check_release = false;
   EXPECT_TRUE(trace::verify(t, opt).ok);
+  EXPECT_EQ(trace::verify(t, opt).releases_checked, 0u);
+  // The other invariants still run: a regressing release head is caught.
+  t.push_back(rec(2000, 0, EventKind::kRelease, 100, 150, 0));
+  const auto v = trace::verify(t, opt);
+  EXPECT_FALSE(v.ok);
+  EXPECT_TRUE(has_violation(v, "release head 150 regressed behind 200"));
+}
+
+// --- invariant 5: counter monotonicity --------------------------------
+
+TEST(TraceVerify, FlagsReceiverPositionRegression) {
+  std::vector<TraceRecord> t;
+  t.push_back(rec(0, 1, EventKind::kJoined, 100, 100, 42));
+  t.push_back(rec(1000, 1, EventKind::kUpdate, 3000, 3000, 0));
+  t.push_back(rec(2000, 1, EventKind::kRateRequest, 2000, 2000, 0));
+  const auto v = trace::verify(t);
+  EXPECT_FALSE(v.ok);
+  EXPECT_EQ(v.violation_count, 1u);
+  EXPECT_EQ(v.progress_checked, 2u);
+  EXPECT_TRUE(has_violation(v, "reported position 2000 regressed behind the "
+                               "high-water 3000"));
+}
+
+TEST(TraceVerify, RejoinDoesNotReanchorHighWater) {
+  std::vector<TraceRecord> t;
+  t.push_back(rec(0, 1, EventKind::kJoined, 100, 100, 42));
+  t.push_back(rec(1000, 1, EventKind::kUpdate, 3000, 3000, 0));
+  t.push_back(rec(2000, 1, EventKind::kRejoin, 3000, 3000, 0));
+  t.push_back(rec(3000, 1, EventKind::kUpdate, 1000, 1000, 0));
+  const auto v = trace::verify(t);
+  EXPECT_FALSE(v.ok);
+  EXPECT_TRUE(has_violation(v, "regressed behind the high-water 3000"));
+}
+
+TEST(TraceVerify, FlagsReleaseHeadRegression) {
+  std::vector<TraceRecord> t;
+  t.push_back(rec(0, 0, EventKind::kRelease, 0, 2920, 0));
+  t.push_back(rec(1000, 0, EventKind::kRelease, 0, 1460, 0));
+  const auto v = trace::verify(t);
+  EXPECT_FALSE(v.ok);
+  EXPECT_EQ(v.progress_checked, 2u);
+  EXPECT_TRUE(has_violation(v, "release head 1460 regressed behind 2920"));
+}
+
+TEST(TraceVerify, ResyncReanchorsHighWater) {
+  std::vector<TraceRecord> t;
+  t.push_back(rec(0, 1, EventKind::kJoined, 100, 100, 42));
+  t.push_back(rec(1000, 1, EventKind::kUpdate, 3000, 3000, 0));
+  t.push_back(rec(2000, 1, EventKind::kDown, 0, 0, 0));
+  t.push_back(rec(3000, 1, EventKind::kUp, 0, 0, 0));
+  t.push_back(rec(4000, 1, EventKind::kResyncJoin, 0, 0, 42));
+  t.push_back(rec(5000, 1, EventKind::kResync, 1000, 1000, 0));
+  t.push_back(rec(6000, 1, EventKind::kUpdate, 1000, 1000, 0));
+  const auto v = trace::verify(t);
+  EXPECT_TRUE(v.ok) << (v.violations.empty() ? "" : v.violations[0]);
+}
+
+TEST(TraceVerify, LowerAggregateUpdateIsNotRegression) {
+  // A laggard child registering pulls the subtree minimum down.
+  std::vector<TraceRecord> t;
+  t.push_back(rec(0, 1, EventKind::kJoined, 100, 100, 42));
+  t.push_back(rec(1000, 1, EventKind::kAggUpdate, 3000, 3000, 2));
+  t.push_back(rec(2000, 1, EventKind::kAggUpdate, 500, 500, 3));
+  const auto v = trace::verify(t);
+  EXPECT_TRUE(v.ok) << (v.violations.empty() ? "" : v.violations[0]);
+  EXPECT_EQ(v.progress_checked, 0u);
 }
 
 // --- verifier over real traces (need trace points compiled in) ---------
@@ -263,6 +420,7 @@ harness::Scenario traced_lan(std::uint64_t seed) {
   sc.trace.sample_period = sim::milliseconds(100);
   return sc;
 }
+
 
 }  // namespace
 
@@ -319,9 +477,75 @@ TEST(TraceHarness, CorruptedRealTraceFailsVerification) {
   TraceRecord nak = rec(doctored.front().t, 1, EventKind::kNakEmit,
                         0x40000000u, 0x40010000u, 0);
   doctored.insert(doctored.begin() + 1, nak);
+  // An inert trailer (not a coverage report, so invariant 5 stays out
+  // of it) carries the trace 10 s on.
   doctored.push_back(rec(doctored.back().t + sim::seconds(10), 1,
-                         EventKind::kUpdate, 0, 0, 0));
-  EXPECT_FALSE(trace::verify(doctored).ok);
+                         EventKind::kRegion, 0, 0, 0));
+  const auto v = trace::verify(doctored);
+  EXPECT_FALSE(v.ok);
+  EXPECT_TRUE(has_violation(v, "never answered"));
+}
+
+TEST(TraceHarness, MutatedRealTraceIsCaught) {
+  if (!trace::kEnabled) GTEST_SKIP() << "tracing compiled out";
+  // examples/trace_dump --lossy: a 4 MiB transfer long enough for the
+  // burst to draw NAKs and for the flap and crash to land mid-stream.
+  harness::Workload wl;
+  wl.file_bytes = 4 * 1024 * 1024;
+  harness::Scenario sc =
+      harness::lan_scenario(3, 10e6, 256 * 1024, wl, 20260806);
+  sc.trace.enabled = true;
+  net::GilbertElliottConfig ge;
+  sc.faults.burst_loss(0, sim::seconds(1), ge)
+      .burst_loss_stop(0, sim::milliseconds(2500))
+      .link_down(1, sim::seconds(3))
+      .link_up(1, sim::milliseconds(3400))
+      .crash(2, sim::seconds(4))
+      .restart(2, sim::milliseconds(5500));
+  const harness::RunResult r = harness::run_transfer(sc);
+  ASSERT_TRUE(r.completed);
+  const std::vector<TraceRecord>& real = r.trace_records;
+  ASSERT_TRUE(trace::verify(real).ok);
+
+  // Index of the first (or last) record of `kind`.
+  const auto find = [&](EventKind kind, bool last) {
+    std::size_t found = real.size();
+    for (std::size_t i = 0; i < real.size(); ++i) {
+      if (real[i].kind != kind) continue;
+      found = i;
+      if (!last) break;
+    }
+    EXPECT_LT(found, real.size()) << trace::kind_name(kind);
+    return found;
+  };
+  const auto caught = [&](std::size_t i, auto edit, const std::string& what) {
+    if (i >= real.size()) return;
+    std::vector<TraceRecord> mutated = real;
+    edit(mutated[i]);
+    const auto v = trace::verify(mutated);
+    EXPECT_FALSE(v.ok) << what;
+    EXPECT_TRUE(has_violation(v, what))
+        << what << " | first: "
+        << (v.violations.empty() ? "" : v.violations[0]);
+  };
+
+  // 1. The final release claims 1 MB no receiver reported.
+  caught(find(EventKind::kRelease, true),
+         [](TraceRecord& x) { x.seq_end += 1 << 20; }, "only reported");
+  // 2. A NAK for a hole nothing ever fills or answers.
+  caught(find(EventKind::kNakEmit, false),
+         [](TraceRecord& x) {
+           x.seq_begin = 0x40000000u;
+           x.seq_end = 0x40010000u;
+         },
+         "never answered");
+  // 3. A first transmission 64 KB larger than the bucket allows.
+  caught(find(EventKind::kSend, false),
+         [](TraceRecord& x) { x.seq_end += 64 * 1024; }, "byte-tokens");
+  // 5. The last UPDATE reports one segment less than its sender had.
+  caught(find(EventKind::kUpdate, true),
+         [](TraceRecord& x) { x.seq_begin -= 1460; },
+         "regressed behind the high-water");
 }
 
 TEST(TraceHarness, TracingOffByDefaultLeavesResultEmpty) {
